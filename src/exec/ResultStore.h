@@ -45,7 +45,7 @@ class ResultStore {
 public:
   /// Bump when the payload encoding of any stored result changes; older
   /// entries then read as misses and are rewritten.
-  static constexpr uint32_t FormatVersion = 1;
+  static constexpr uint32_t FormatVersion = 2;
 
   /// A disabled store: every lookup misses, every write is dropped.
   ResultStore() = default;

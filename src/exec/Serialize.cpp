@@ -82,7 +82,6 @@ void exec::writeRunResult(ByteWriter &W, const sim::RunResult &R) {
   W.u64(R.DataAccesses);
   W.u64(R.LoadMisses);
   W.u64(R.StoreMisses);
-  W.u64(R.ICacheMisses);
   W.u64(R.PrefetchesIssued);
   W.u64(R.PrefetchFills);
   W.vecU64(R.ExecCounts);
@@ -113,9 +112,8 @@ bool exec::readRunResult(ByteReader &R, sim::RunResult &Out) {
   if (!R.str(Out.TrapMessage) || !R.i32(Out.ExitCode) || !R.str(Out.Output) ||
       !R.u64(Out.InstrsExecuted) || !R.u64(Out.DataAccesses) ||
       !R.u64(Out.LoadMisses) || !R.u64(Out.StoreMisses) ||
-      !R.u64(Out.ICacheMisses) || !R.u64(Out.PrefetchesIssued) ||
-      !R.u64(Out.PrefetchFills) || !R.vecU64(Out.ExecCounts) ||
-      !R.vecU64(Out.MissCounts))
+      !R.u64(Out.PrefetchesIssued) || !R.u64(Out.PrefetchFills) ||
+      !R.vecU64(Out.ExecCounts) || !R.vecU64(Out.MissCounts))
     return false;
   uint64_t N;
   if (!R.u64(N) || N > R.remaining() / 8)

@@ -143,14 +143,6 @@ const uint8_t *Engine::compileBlock(uint32_t Leader) {
   return P;
 }
 
-void Engine::precompile(const std::vector<uint32_t> &Leaders) {
-  if (!Stub)
-    return;
-  for (uint32_t L : Leaders)
-    if (L < FlatCount && !CodePtrs[L] && !NoCompile[L])
-      compileBlock(L);
-}
-
 void Engine::flushCounters(RunResult &R) {
   R.InstrsExecuted = St.Executed;
   R.DataAccesses = St.DataAccesses;

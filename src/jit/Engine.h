@@ -84,10 +84,6 @@ public:
          uint32_t *Regs, uint64_t MaxInstrs, uint32_t PrefetchStride,
          prefetch::Engine *Pf, const EngineOptions &Opts, EngineCallbacks CB);
 
-  /// Compiles the blocks at \p Leaders ahead of execution (absint-proven
-  /// hot loop bodies). Unknown/ineligible leaders are skipped quietly.
-  void precompile(const std::vector<uint32_t> &Leaders);
-
   /// Runs from \p EntryPc until exit/trap/fuel. \p R must have
   /// ExecCounts/MissCounts sized to the program; all aggregates and the
   /// halt state are filled in on return.

@@ -128,8 +128,7 @@ namespace {
 
 /// Shared decode of the response envelope; on Ok, \p Body is ready for the
 /// opcode body decoder.
-bool openResponse(const Frame &Resp, Status &S, std::string &Err,
-                  exec::ByteReader &Body) {
+bool openResponse(Status &S, std::string &Err, exec::ByteReader &Body) {
   std::string Remote;
   if (!decodeResponseHead(Body, S, Remote)) {
     Err = "truncated response envelope";
@@ -147,7 +146,7 @@ bool Client::ping(const std::string &Echo, Status &S, std::string &Err) {
   if (!call(Opcode::Ping, encodePingRequest(Echo), Resp, Err))
     return false;
   exec::ByteReader Body(Resp.Payload);
-  if (!openResponse(Resp, S, Err, Body))
+  if (!openResponse(S, Err, Body))
     return false;
   if (S != Status::Ok)
     return true;
@@ -165,7 +164,7 @@ bool Client::analyze(const AnalyzeRequest &R, AnalyzeResponse &Out,
   if (!call(Opcode::Analyze, encodeAnalyzeRequest(R), Resp, Err))
     return false;
   exec::ByteReader Body(Resp.Payload);
-  if (!openResponse(Resp, S, Err, Body))
+  if (!openResponse(S, Err, Body))
     return false;
   if (S != Status::Ok)
     return true;
@@ -182,7 +181,7 @@ bool Client::run(const RunRequest &R, RunResponse &Out, Status &S,
   if (!call(Opcode::Run, encodeRunRequest(R), Resp, Err))
     return false;
   exec::ByteReader Body(Resp.Payload);
-  if (!openResponse(Resp, S, Err, Body))
+  if (!openResponse(S, Err, Body))
     return false;
   if (S != Status::Ok)
     return true;
@@ -199,7 +198,7 @@ bool Client::classify(const ClassifyRequest &R, ClassifyResponse &Out,
   if (!call(Opcode::Classify, encodeClassifyRequest(R), Resp, Err))
     return false;
   exec::ByteReader Body(Resp.Payload);
-  if (!openResponse(Resp, S, Err, Body))
+  if (!openResponse(S, Err, Body))
     return false;
   if (S != Status::Ok)
     return true;
@@ -215,7 +214,7 @@ bool Client::stats(StatsResponse &Out, Status &S, std::string &Err) {
   if (!call(Opcode::Stats, {}, Resp, Err))
     return false;
   exec::ByteReader Body(Resp.Payload);
-  if (!openResponse(Resp, S, Err, Body))
+  if (!openResponse(S, Err, Body))
     return false;
   if (S != Status::Ok)
     return true;
@@ -231,7 +230,7 @@ bool Client::drain(Status &S, std::string &Err) {
   if (!call(Opcode::Drain, {}, Resp, Err))
     return false;
   exec::ByteReader Body(Resp.Payload);
-  if (!openResponse(Resp, S, Err, Body))
+  if (!openResponse(S, Err, Body))
     return false;
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include "sim/Machine.h"
 
-#include "absint/JitHints.h"
 #include "jit/CodeBuffer.h"
 #include "jit/Engine.h"
 #include "obs/Counters.h"
@@ -54,7 +53,7 @@ bool wantJit(const MachineOptions &Opts, const Memory &Mem) {
     break;
   }
   }
-  return Want && jit::available() && !Opts.SimulateICache && Mem.isFlat();
+  return Want && jit::available() && Mem.isFlat();
 }
 
 } // namespace
@@ -153,7 +152,6 @@ struct SimCounters {
   obs::Counter &DataAccesses = obs::counters().counter("sim.data_accesses");
   obs::Counter &LoadMisses = obs::counters().counter("sim.load_misses");
   obs::Counter &StoreMisses = obs::counters().counter("sim.store_misses");
-  obs::Counter &ICacheMisses = obs::counters().counter("sim.icache_misses");
   obs::Counter &PfIssued = obs::counters().counter("sim.prefetch.issued");
   obs::Counter &PfFills = obs::counters().counter("sim.prefetch.fills");
   obs::Counter &PfUseful = obs::counters().counter("sim.prefetch.useful");
@@ -199,10 +197,8 @@ RunResult Machine::run() {
   RunResult R;
   if (UseJit)
     R = runJit();
-  else if (Opts.SimulateICache)
-    R = PfEng ? runLoop<true, true>() : runLoop<true, false>();
   else
-    R = PfEng ? runLoop<false, true>() : runLoop<false, false>();
+    R = PfEng ? runLoop<true>() : runLoop<false>();
 
   // Prefetch accounting lives in the engine (shared by both execution
   // engines); fold it into the result here.
@@ -252,7 +248,6 @@ RunResult Machine::run() {
   C.DataAccesses.add(R.DataAccesses);
   C.LoadMisses.add(R.LoadMisses);
   C.StoreMisses.add(R.StoreMisses);
-  C.ICacheMisses.add(R.ICacheMisses);
   C.PfIssued.add(R.PrefetchesIssued);
   C.PfFills.add(R.PrefetchFills);
   C.PfUseful.add(R.PrefetchUseful);
@@ -314,14 +309,6 @@ RunResult Machine::runJit() {
   jit::Engine E(Prog, Mem, DCache, Regs, Opts.MaxInstrs,
                 Opts.DCache.BlockBytes, PfEng.get(), EOpts, std::move(ECbs));
 
-  if (Opts.JitFromAnalysis) {
-    std::vector<uint32_t> Leaders;
-    for (const absint::HotBlock &H :
-         absint::provenHotBlocks(M, L, Opts.JitHotThreshold))
-      Leaders.push_back(Prog.FuncEntryFlat[H.FuncIdx] + H.InstrIdx);
-    E.precompile(Leaders);
-  }
-
   E.run(Prog.FuncEntryFlat[MainIdx], R);
 
   const jit::EngineStats &S = E.stats();
@@ -336,15 +323,15 @@ RunResult Machine::runJit() {
 
 /// The interpreter proper. Token-threaded dispatch: every handler begins
 /// with its own copy of the per-instruction accounting (fuel check, counter
-/// updates, optional I-cache access) and ends with its own tiny indirect
-/// jump through a label table indexed by the next instruction's XOp. Keeping
-/// the jump at the end of every handler (rather than one shared loop head)
-/// gives each opcode an independently predicted indirect branch. The
-/// accounting order — fuel, bounds, counters, I-cache, execute — matches the
-/// seed interpreter exactly, as do all trap messages; the bounds check rides
-/// on the decoder's OutOfText sentinel, with explicit re-checks only where a
-/// target is data-dependent (jr/jalr) or decoder-provided (branches).
-template <bool WithICache, bool WithPf> RunResult Machine::runLoop() {
+/// updates) and ends with its own tiny indirect jump through a label table
+/// indexed by the next instruction's XOp. Keeping the jump at the end of
+/// every handler (rather than one shared loop head) gives each opcode an
+/// independently predicted indirect branch. The accounting order — fuel,
+/// bounds, counters, execute — matches the seed interpreter exactly, as do
+/// all trap messages; the bounds check rides on the decoder's OutOfText
+/// sentinel, with explicit re-checks only where a target is data-dependent
+/// (jr/jalr) or decoder-provided (branches).
+template <bool WithPf> RunResult Machine::runLoop() {
   RunResult R;
   const uint64_t FlatCount = Prog.FlatMap.size();
   R.ExecCounts.assign(FlatCount, 0);
@@ -359,7 +346,6 @@ template <bool WithICache, bool WithPf> RunResult Machine::runLoop() {
   }
 
   Cache DCache(Opts.DCache);
-  Cache ICacheModel(Opts.ICache);
 
   // Initial machine state.
   constexpr uint32_t ExitPc = 0xFFFFFFFC;
@@ -393,14 +379,12 @@ template <bool WithICache, bool WithPf> RunResult Machine::runLoop() {
   uint64_t DataAccesses = 0;
   uint64_t LoadMisses = 0;
   uint64_t StoreMisses = 0;
-  uint64_t ICacheMisses = 0;
 
   auto flushCounters = [&] {
     R.InstrsExecuted = Executed;
     R.DataAccesses = DataAccesses;
     R.LoadMisses = LoadMisses;
     R.StoreMisses = StoreMisses;
-    R.ICacheMisses = ICacheMisses;
   };
   auto trap = [&](std::string Message) {
     R.Halt = HaltReason::Trapped;
@@ -448,11 +432,6 @@ template <bool WithICache, bool WithPf> RunResult Machine::runLoop() {
     I = Code + FlatPc;                                                         \
     ++ExecCounts[FlatPc];                                                      \
     ++Executed;                                                                \
-    if constexpr (WithICache) {                                                \
-      if (!ICacheModel.access(LayoutConstants::TextBase +                      \
-                              static_cast<uint32_t>(FlatPc) * 4))              \
-        ++ICacheMisses;                                                        \
-    }                                                                          \
   } while (0)
 
 // Dispatch on the instruction at FlatPc. Small on purpose: GCC re-duplicates
@@ -857,14 +836,6 @@ L_LaUnresolved:
     ++ExecCounts[FlatPc];                                                      \
     ++ExecCounts[FlatPc + 1];                                                  \
     Executed += 2;                                                             \
-    if constexpr (WithICache) {                                                \
-      if (!ICacheModel.access(LayoutConstants::TextBase +                      \
-                              static_cast<uint32_t>(FlatPc) * 4))              \
-        ++ICacheMisses;                                                        \
-      if (!ICacheModel.access(LayoutConstants::TextBase +                      \
-                              static_cast<uint32_t>(FlatPc + 1) * 4))          \
-        ++ICacheMisses;                                                        \
-    }                                                                          \
     Comp1;                                                                     \
     Comp2;                                                                     \
     FlatPc += 2;                                                               \
@@ -894,12 +865,6 @@ L_LaUnresolved:
     ++ExecCounts[FlatPc + 1];                                                  \
     ++ExecCounts[FlatPc + 2];                                                  \
     Executed += 3;                                                             \
-    if constexpr (WithICache) {                                                \
-      for (uint64_t Off = 0; Off != 3; ++Off)                                  \
-        if (!ICacheModel.access(LayoutConstants::TextBase +                    \
-                                static_cast<uint32_t>(FlatPc + Off) * 4))      \
-          ++ICacheMisses;                                                      \
-    }                                                                          \
     Comp1;                                                                     \
     Comp2;                                                                     \
     Comp3;                                                                     \
@@ -939,12 +904,6 @@ L_LaUnresolved:
     ++ExecCounts[FlatPc];                                                      \
     ++ExecCounts[FlatPc + 1];                                                  \
     Executed += 2;                                                             \
-    if constexpr (WithICache) {                                                \
-      for (uint64_t Off = 0; Off != 2; ++Off)                                  \
-        if (!ICacheModel.access(LayoutConstants::TextBase +                    \
-                                static_cast<uint32_t>(FlatPc + Off) * 4))      \
-          ++ICacheMisses;                                                      \
-    }                                                                          \
     Comp1;                                                                     \
     {                                                                          \
       const DecodedInstr *IB = I + 1;                                          \
@@ -964,12 +923,6 @@ L_LaUnresolved:
     ++ExecCounts[FlatPc + 1];                                                  \
     ++ExecCounts[FlatPc + 2];                                                  \
     Executed += 3;                                                             \
-    if constexpr (WithICache) {                                                \
-      for (uint64_t Off = 0; Off != 3; ++Off)                                  \
-        if (!ICacheModel.access(LayoutConstants::TextBase +                    \
-                                static_cast<uint32_t>(FlatPc + Off) * 4))      \
-          ++ICacheMisses;                                                      \
-    }                                                                          \
     Comp1;                                                                     \
     Comp2;                                                                     \
     {                                                                          \

@@ -66,10 +66,6 @@ EngineKind engineKindFromString(const std::string &S);
 /// Simulator options.
 struct MachineOptions {
   CacheConfig DCache = CacheConfig::baseline();
-  /// When true, instruction fetches also go through an I-cache (the paper
-  /// uses a split L1; only D-cache numbers feed the analyses).
-  bool SimulateICache = false;
-  CacheConfig ICache = CacheConfig::baseline();
   uint64_t MaxInstrs = 2'000'000'000;
   uint64_t RandSeed = 1;
   /// Guest-memory backing. Auto = flat 4 GiB mmap when the host allows it;
@@ -97,15 +93,12 @@ struct MachineOptions {
   /// The recorded baseline miss trace a Policy::Oracle run replays. Must
   /// come from a Policy::Record run of the same module and armed set.
   std::shared_ptr<const prefetch::MissTrace> OracleTrace;
-  /// Execution engine. The JIT requires the flat memory backing, no
-  /// I-cache simulation and an executable-memory host; ineligible
-  /// configurations run the interpreter regardless of this setting.
+  /// Execution engine. The JIT requires the flat memory backing and an
+  /// executable-memory host; ineligible configurations run the interpreter
+  /// regardless of this setting.
   EngineKind Engine = EngineKind::Auto;
   /// Dispatcher visits of a block leader before the JIT compiles it.
   uint32_t JitHotThreshold = 16;
-  /// Precompile loop bodies whose trip counts the abstract interpreter
-  /// proved (absint/JitHints.h) instead of waiting for the hotness ramp.
-  bool JitFromAnalysis = true;
 };
 
 /// Per-load dynamic statistics at one PC.
@@ -125,7 +118,6 @@ struct RunResult {
   uint64_t DataAccesses = 0; ///< Loads + stores reaching the D-cache.
   uint64_t LoadMisses = 0;
   uint64_t StoreMisses = 0;
-  uint64_t ICacheMisses = 0;
   uint64_t PrefetchesIssued = 0;
   uint64_t PrefetchFills = 0; ///< Prefetches that brought a new block in.
   uint64_t PrefetchUseful = 0; ///< Filled blocks demand-hit before eviction.
@@ -180,10 +172,10 @@ public:
   }
 
 private:
-  /// The interpreter loop, specialized at compile time on whether an
-  /// I-cache is simulated and whether a prefetch engine is armed, so the
-  /// common plain configuration pays nothing for either.
-  template <bool WithICache, bool WithPf> RunResult runLoop();
+  /// The interpreter loop, specialized at compile time on whether a
+  /// prefetch engine is armed, so the common plain configuration pays
+  /// nothing for it.
+  template <bool WithPf> RunResult runLoop();
 
   /// The JIT-driven run: same preamble and result contract as runLoop, with
   /// execution delegated to jit::Engine.

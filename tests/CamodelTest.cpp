@@ -419,8 +419,9 @@ TEST(Camodel, RegistryCrossValidationWithinTolerance) {
 
     double Err = weightedError(Preds, G.Stats);
     EXPECT_LT(Err, 0.10) << W.Name;
-    if (RegularCats.count(W.Category))
+    if (RegularCats.count(W.Category)) {
       EXPECT_LT(Err, 0.05) << W.Name << " (" << W.Category << ")";
+    }
   }
 }
 

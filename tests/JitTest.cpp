@@ -445,12 +445,9 @@ TEST(JitEngine, SelectionRespectsOptionsAndEnvironment) {
   EXPECT_TRUE(Machine(*M, L, Opts).usingJit());
   ::unsetenv("DLQ_JIT");
 
-  // The paged backing and I-cache simulation rule the JIT out.
+  // The paged backing rules the JIT out.
   Opts.Engine = EngineKind::Jit;
   Opts.MemBacking = Memory::Backing::Paged;
-  EXPECT_FALSE(Machine(*M, L, Opts).usingJit());
-  Opts.MemBacking = Memory::Backing::Auto;
-  Opts.SimulateICache = true;
   EXPECT_FALSE(Machine(*M, L, Opts).usingJit());
 }
 

@@ -40,6 +40,10 @@ struct AluCase {
   int32_t Expected;
 };
 
+// Test names print the case name, not the struct's raw bytes (which hold
+// pointers and so differ between builds).
+void PrintTo(const AluCase &C, std::ostream *OS) { *OS << C.Name; }
+
 std::vector<AluCase> aluCases() {
   auto li2 = [](int32_t A, int32_t B) {
     return formatString("        li $t0, %d\n        li $t1, %d\n", A, B);
@@ -146,6 +150,8 @@ struct BranchCase {
   int32_t A, B;
   bool Taken;
 };
+
+void PrintTo(const BranchCase &C, std::ostream *OS) { *OS << C.Name; }
 
 std::vector<BranchCase> branchCases() {
   return {

@@ -38,6 +38,10 @@ struct PrecCase {
   int32_t Expected;
 };
 
+// Test names print the case name, not the struct's raw bytes (which hold
+// pointers and so differ between builds).
+void PrintTo(const PrecCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class Precedence : public ::testing::TestWithParam<PrecCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,6 +158,8 @@ struct DiagCase {
   const char *Source;
   const char *MessagePart;
 };
+
+void PrintTo(const DiagCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class Diagnostics : public ::testing::TestWithParam<DiagCase> {};
 

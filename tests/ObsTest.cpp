@@ -43,8 +43,13 @@ void *operator new(size_t Sz) {
   return P;
 }
 
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, size_t) noexcept { std::free(P); }
+// Out of line: inlined into a `new T` / `delete` pair, the free() call would
+// look like it releases operator new's memory and trip
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, size_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 

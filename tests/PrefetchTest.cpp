@@ -305,6 +305,7 @@ TEST(PrefetchSeed, HintsClassifyStrideAndPointerLoads) {
       "int main() {"
       "  int i; int sum; struct Node *n; sum = 0;"
       "  for (i = 0; i < 4096; i = i + 1) sum = sum + arr[i];"
+      "  for (i = 4095; i >= 0; i = i - 1) sum = sum + arr[i];"
       "  for (n = head; n != 0; n = n->next) sum = sum + n->val;"
       "  return sum; }",
       1); // -O1: register promotion exposes the n = n->next recurrence
@@ -314,15 +315,19 @@ TEST(PrefetchSeed, HintsClassifyStrideAndPointerLoads) {
   prefetch::HintMap Hints =
       prefetch::buildStaticHints(*M, L, MA.loadPatterns());
 
-  size_t AscendingStrides = 0, Pointers = 0;
+  size_t AscendingStrides = 0, DescendingStrides = 0, Pointers = 0;
   for (const auto &[Ref, H] : Hints) {
     if (H.Class == prefetch::PatternClass::Stride && H.StrideBytes == 4)
       ++AscendingStrides;
+    if (H.Class == prefetch::PatternClass::Stride && H.StrideBytes == -4)
+      ++DescendingStrides;
     if (H.Class == prefetch::PatternClass::Pointer)
       ++Pointers;
   }
   EXPECT_GT(AscendingStrides, 0u)
       << "the arr[i] walk must seed a +4 stride";
+  EXPECT_GT(DescendingStrides, 0u)
+      << "the descending arr[i] walk must seed a -4 stride";
   EXPECT_GT(Pointers, 0u) << "the n->next chase must seed a pointer entry";
 }
 

@@ -121,8 +121,7 @@ TEST(SimGolden, RegistryMatchesSeedInterpreter) {
       EXPECT_EQ(R.DataAccesses, G.DataAccesses);
       EXPECT_EQ(R.LoadMisses, G.LoadMisses);
       EXPECT_EQ(R.StoreMisses, G.StoreMisses);
-      // Default options simulate no I-cache and arm no prefetches.
-      EXPECT_EQ(R.ICacheMisses, 0u);
+      // Default options arm no prefetches.
       EXPECT_EQ(R.PrefetchesIssued, 0u);
 
       exec::Fnv1a ExecHash, MissHash;

@@ -3,8 +3,9 @@
 // Replays N concurrent synthetic users against a running delinqd:
 //
 //   delinqd --port 7099 &
-//   delinq_bots --port 7099 --users 200 --requests 20 --seed 1 \
-//               --json BENCH_delinqd.json --drain
+//   delinq_bots --port 7099 --users 200 --requests 20 --seed 1 --drain
+//
+// Add `--json BENCH_delinqd.json` for a JSON report.
 //
 // Each user owns one connection and issues a seeded, mixed stream of
 // ANALYZE / RUN / CLASSIFY / PING requests over the registry workloads,
